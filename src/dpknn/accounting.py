@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -147,16 +148,16 @@ class IndividualLedger:
         """Entries allowed to participate: unlimited, or z >= threshold."""
         return self.unlimited | (self.z >= threshold)
 
-    def spend(self, indices: np.ndarray, amounts: np.ndarray) -> None:
-        """Deduct nonnegative charges from private entries."""
-        amounts = np.asarray(amounts, dtype=np.float64)
-        if np.any(amounts < 0.0):
+    def spend(self, indices: np.ndarray, *amounts) -> None:
+        """Deduct nonnegative charges, as (z - a) - b, from private entries; all or nothing."""
+        if any(np.any(np.asarray(a) < 0.0) for a in amounts):
             raise LedgerInvariantError("negative charge")
         if np.any(self.unlimited[indices]):
             raise LedgerInvariantError("attempted to charge a public (unlimited) entry")
-        self.z[indices] -= amounts
-        if np.any(self.z[indices] < -self.SLACK):
+        z = reduce(np.subtract, amounts, self.z[indices])
+        if np.any(z < -self.SLACK):
             raise LedgerInvariantError("an example's budget went negative")
+        self.z[indices] = z
 
     def remaining(self, index: int) -> float:
         if self.unlimited[index]:

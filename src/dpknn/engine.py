@@ -24,7 +24,7 @@ point leaves everyone else's selection decisions untouched, which is what
 makes the per-example accounting sound and unlearning cheap.
 
 State layout: stores are append-only with an alive mask, so example indices
-are stable across removals; charge records and LSH buckets can refer to them
+are stable across removals; charge trails and LSH buckets can refer to them
 without remapping.  All mutation of budgets goes through the ledger, queries
 are answered strictly one at a time, and a fresh engine replay with the same
 seed reproduces outcomes bit for bit.
@@ -33,7 +33,7 @@ seed reproduces outcomes bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .accounting import (
     IndividualLedger,
     LedgerInvariantError,
     budget_for_dp,
-    filter_active,
 )
 from .kernels import IngestionError, KernelSpec, kernel_weights, normalize_rows
 from .mechanisms import NoiseSource, noisy_argmax, noisy_count
@@ -106,13 +105,20 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """Everything released by one query, plus the audit trail of its charges."""
+    """Everything released by one query; ``charges`` builds ChargeRecords only when read."""
 
     query_index: int
     answer: int
     released_count: float
     selected: np.ndarray
-    charges: list[ChargeRecord] = field(default_factory=list)
+    charged: np.ndarray  # the charged private examples, in selection order
+    label_charges: np.ndarray  # one per charged example
+    count_charge: float  # paid by every charged example
+
+    @property
+    def charges(self) -> list[ChargeRecord]:
+        return [ChargeRecord(self.query_index, i, self.count_charge, c)
+                for i, c in zip(self.charged.tolist(), self.label_charges.tolist())]
 
 
 class ExampleStore:
@@ -270,8 +276,8 @@ def answer_query(store: ExampleStore, query, src: NoiseSource,
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != store.dimension:
         raise ValueError(f"query shape {q.shape} does not match store dimension {store.dimension}")
-    if abs(float(np.linalg.norm(q)) - 1.0) > 1e-6:
-        raise IngestionError("query must be unit-normalized")
+    if not abs(float(np.linalg.norm(q)) - 1.0) <= 1e-6:  # also rejects NaN and inf
+        raise IngestionError("query must be finite and unit-normalized")
     cfg = store.config
     t = store.queries_answered
 
@@ -282,16 +288,13 @@ def answer_query(store: ExampleStore, query, src: NoiseSource,
     priv = selected[~is_public]
     priv_w = weights[~is_public]
 
-    # Count charge first; caps and label charges see the post-count budget.
-    count_charge = cfg.count_charge
-    store.ledger.spend(priv, np.full(priv.shape[0], count_charge))
-    z = store.ledger.z[priv]
-
+    # Caps and label charges see the post-count budget; both charges land in one checked step.
+    z = store.ledger.z[priv] - cfg.count_charge
     denom = 2.0 * cfg.sigma_vote * cfg.sigma_vote * released
     saturated = priv_w * priv_w >= denom * z
     magnitudes = np.where(saturated, cfg.sigma_vote * np.sqrt(2.0 * released * z), priv_w)
     label_charges = np.where(saturated, z, priv_w * priv_w / denom)
-    store.ledger.spend(priv, label_charges)
+    store.ledger.spend(priv, cfg.count_charge, label_charges)
 
     votes = _accumulate_votes(store.labels[priv], magnitudes, store.num_classes)
     votes += _accumulate_votes(
@@ -300,11 +303,7 @@ def answer_query(store: ExampleStore, query, src: NoiseSource,
 
     answer = noisy_argmax(votes, cfg.sigma_vote * cfg.sigma_vote * released, src)
 
-    charges = [
-        ChargeRecord(t, int(i), count_charge, float(c))
-        for i, c in zip(priv, label_charges)
-    ]
-    outcome = QueryOutcome(t, answer, released, selected, charges)
+    outcome = QueryOutcome(t, answer, released, selected, priv, label_charges, cfg.count_charge)
     store.released.append(outcome)
     store.queries_answered += 1
     if cfg.reuse_predictions:

@@ -150,6 +150,23 @@ def test_ledger_spend_validation():
         ledger2.spend(np.array([1]), np.array([0.1]))
 
 
+def test_ledger_spend_is_all_or_nothing():
+    ledger = IndividualLedger(3, budget=0.9)
+    with pytest.raises(LedgerInvariantError, match="negative"):
+        ledger.spend(np.array([0, 1]), np.array([0.2, 1.5]))
+    with pytest.raises(LedgerInvariantError, match="negative"):
+        ledger.spend(np.array([0, 1]), 0.3, np.array([0.2, 0.7]))  # the second charge overdraws 1
+    assert ledger.z.tolist() == [0.9, 0.9, 0.9]
+
+
+def test_ledger_spend_applies_charges_in_order():
+    ledger = IndividualLedger(2, budget=0.9)
+    ledger.spend(np.array([0]), 0.3, np.array([0.2]))
+    # (0.9 - 0.3) - 0.2 rounds differently from 0.9 - (0.3 + 0.2)
+    assert ledger.z[0] == (0.9 - 0.3) - 0.2 != 0.9 - (0.3 + 0.2)
+    assert ledger.z[1] == 0.9
+
+
 def test_ledger_budgets_non_increasing():
     ledger = IndividualLedger(4, budget=2.0)
     history = [ledger.z.copy()]

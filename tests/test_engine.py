@@ -28,6 +28,7 @@ from dpknn import (
     contribution,
     select_neighbors,
 )
+from dpknn.engine import _accumulate_votes
 from reference import noiseless_vote, reference_stream
 
 
@@ -129,6 +130,20 @@ def test_charge_label_negative_remaining_within_slack():
     assert charge_label(-1e-10, np.array([0.1]), 0.5, 30.0) == 0.0
 
 
+@pytest.mark.parametrize("n", [0, 1_000, 100_000, 100_001])
+def test_accumulate_votes_matches_per_class_fsum(n):
+    gen = np.random.default_rng(n)
+    labels = gen.integers(0, 4, n)
+    magnitudes = gen.random(n)
+    got = _accumulate_votes(labels, magnitudes, 4)
+    want = np.array([math.fsum(magnitudes[labels == c]) for c in range(4)])
+    assert got.dtype == np.float64
+    if n > 100_000:  # compensated branch: exactly the correctly rounded sums
+        assert np.array_equal(got, want)
+    else:  # plain index-ordered sums, within their rounding bound
+        np.testing.assert_allclose(got, want, rtol=max(n, 1) * 2.0**-53, atol=0.0)
+
+
 # -- selection --------------------------------------------------------------------
 
 
@@ -188,6 +203,29 @@ def test_answer_query_validates_query():
         answer_query(store, np.zeros(3), src)
     with pytest.raises(IngestionError, match="unit"):
         answer_query(store, np.full(8, 0.5), src)  # norm sqrt(2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_answer_query_rejects_non_finite_query(bad):
+    store = small_store()
+    q = np.eye(8)[0]
+    q[3] = bad
+    with pytest.raises(IngestionError, match="finite"):
+        answer_query(store, q, NoiseSource(0))
+    assert store.queries_answered == 0
+
+
+def test_failed_charge_leaves_ledger_and_trail_untouched():
+    store = small_store(n=20, tau=0.1)
+    q = store.features[0]
+    # The ledger disagrees with the store about example 0, which the query selects.
+    store.ledger.unlimited[0] = True
+    before = store.ledger.z.copy()
+    with pytest.raises(LedgerInvariantError, match="public"):
+        answer_query(store, q, NoiseSource(0))
+    assert np.array_equal(store.ledger.z, before)
+    assert store.released == []
+    assert store.queries_answered == 0
 
 
 def test_answer_query_draw_count_is_fixed_per_query():
