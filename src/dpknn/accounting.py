@@ -117,13 +117,29 @@ def budget_for_dp(target: DpParams) -> float:
     return lo
 
 
+def with_room(buffer: np.ndarray, used: int) -> np.ndarray:
+    """``buffer`` if it has a free row after its first ``used``, else a copy with double the rows.
+
+    The copy comes from ``np.empty`` and only the used prefix is written, so
+    capacity not yet filled costs no resident memory.  ``buffer`` itself is
+    never written.
+    """
+    if used < buffer.shape[0]:
+        return buffer
+    bigger = np.empty((max(2 * used, 1), *buffer.shape[1:]), dtype=buffer.dtype)
+    bigger[:used] = buffer[:used]
+    return bigger
+
+
 class IndividualLedger:
     """Remaining per-example budgets, with unlimited markers for public entries.
 
     Entries are append-only and aligned with their store's example positions.
-    ``z`` is meaningful only where ``unlimited`` is False.  Mutation happens
-    exclusively through :meth:`spend`, which never lets a budget go below
-    -1e-9 (accumulated float error) without aborting the run.
+    ``z`` and ``unlimited`` are views of the live prefix of capacity-doubling
+    buffers, so an append costs O(1) amortized.  ``z`` is meaningful only
+    where ``unlimited`` is False.  Mutation happens exclusively through
+    :meth:`spend`, which never lets a budget go below -1e-9 (accumulated float
+    error) without aborting the run.
     """
 
     SLACK = 1e-9
@@ -132,17 +148,21 @@ class IndividualLedger:
         if budget < 0.0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         self.budget = float(budget)
-        self.z = np.full(size, self.budget, dtype=np.float64)
-        self.unlimited = np.zeros(size, dtype=bool)
+        self.z = self._z = np.full(size, self.budget, dtype=np.float64)
+        self.unlimited = self._unlimited = np.zeros(size, dtype=bool)
 
     def __len__(self) -> int:
         return self.z.shape[0]
 
     def append(self, *, unlimited: bool = False) -> int:
         """Add one entry (fresh budget, or an unlimited public marker)."""
-        self.z = np.append(self.z, self.budget)
-        self.unlimited = np.append(self.unlimited, unlimited)
-        return len(self) - 1
+        n = len(self)
+        self._z = with_room(self._z, n)
+        self._unlimited = with_room(self._unlimited, n)
+        self._z[n] = self.budget
+        self._unlimited[n] = unlimited
+        self.z, self.unlimited = self._z[: n + 1], self._unlimited[: n + 1]
+        return n
 
     def active_mask(self, threshold: float) -> np.ndarray:
         """Entries allowed to participate: unlimited, or z >= threshold."""

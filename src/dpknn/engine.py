@@ -43,6 +43,7 @@ from .accounting import (
     IndividualLedger,
     LedgerInvariantError,
     budget_for_dp,
+    with_room,
 )
 from .kernels import IngestionError, KernelSpec, kernel_weights, normalize_rows
 from .mechanisms import NoiseSource, noisy_argmax, noisy_count
@@ -126,7 +127,10 @@ class ExampleStore:
 
     Arrays are append-only; removal flips the alive flag, so an example's
     index is stable for its whole life and afterwards.  ``public`` marks
-    reused predictions, which carry no budget.
+    reused predictions, which carry no budget.  ``features``, ``labels``,
+    ``public`` and ``alive`` are views of the live prefix of capacity-doubling
+    buffers: an insert writes one row, and the arrays passed in are never
+    written (the first insert copies them).
     """
 
     def __init__(self, features, labels, num_classes: int, config: EngineConfig):
@@ -145,10 +149,10 @@ class ExampleStore:
             )
         self.config = config
         self.num_classes = int(num_classes)
-        self.features = feats
-        self.labels = labs
-        self.public = np.zeros(feats.shape[0], dtype=bool)
-        self.alive = np.ones(feats.shape[0], dtype=bool)
+        self.features = self._features = feats
+        self.labels = self._labels = labs
+        self.public = self._public = np.zeros(feats.shape[0], dtype=bool)
+        self.alive = self._alive = np.ones(feats.shape[0], dtype=bool)
         self.ledger = IndividualLedger(feats.shape[0], config.per_example_budget)
         self.released: list[QueryOutcome] = []
         self.queries_answered = 0
@@ -182,12 +186,19 @@ class ExampleStore:
             )
         if not 0 <= int(label) < self.num_classes:
             raise IngestionError(f"label {label} outside [0, {self.num_classes})")
-        self.features = np.vstack([self.features, feat[None, :]])
-        self.labels = np.append(self.labels, int(label))
-        self.public = np.append(self.public, bool(public))
-        self.alive = np.append(self.alive, True)
+        n = self.features.shape[0]
+        self._features = with_room(self._features, n)
+        self._labels = with_room(self._labels, n)
+        self._public = with_room(self._public, n)
+        self._alive = with_room(self._alive, n)
+        self._features[n] = feat
+        self._labels[n] = int(label)
+        self._public[n] = bool(public)
+        self._alive[n] = True
+        self.features, self.labels = self._features[: n + 1], self._labels[: n + 1]
+        self.public, self.alive = self._public[: n + 1], self._alive[: n + 1]
         self.ledger.append(unlimited=public)
-        return self.features.shape[0] - 1
+        return n
 
     def remove_example(self, index: int) -> None:
         """Retire one example immediately; its ledger entry goes with it."""

@@ -457,8 +457,8 @@ def sweep(document: dict | ExperimentSpec, epsilons: list[float] | None = None) 
         neighborhood = sorted(
             {min(max(round(tau_star + off, 10), 0.0), 1.0) for off in (-0.05, 0.0, 0.05)}
         )
-        for sigma in sigma_grid:
-            for tau in neighborhood:
+        for i, sigma in enumerate(sigma_grid):
+            for j, tau in enumerate(neighborhood):
                 cell_spec = copy.deepcopy(spec.raw)
                 if eps is not None:
                     cell_spec["engine"]["epsilon"] = eps
@@ -469,7 +469,8 @@ def sweep(document: dict | ExperimentSpec, epsilons: list[float] | None = None) 
                 store = ExampleStore(
                     loaded.features, loaded.labels, loaded.num_classes, parsed.engine_config()
                 )
-                src = NoiseSource(np.random.SeedSequence([spec.seed, 53, int(sigma * 1000), int(tau * 1000)]))
+                # Seeded by grid position: grid values closer than any rounding step still differ.
+                src = NoiseSource(np.random.SeedSequence([spec.seed, 53, i, j]))
                 answers = np.asarray(
                     [answer_query(store, q, src).answer for q in val_queries], dtype=np.int64
                 )

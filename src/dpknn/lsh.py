@@ -19,6 +19,8 @@ import numpy as np
 from .engine import ExampleStore, QueryOutcome, answer_query
 from .mechanisms import NoiseSource
 
+BUILD_CHUNK = 8192  # rows hashed at a time while building
+
 
 class LshIndex:
     """Bucketed sign-random-projection codes over a store's live examples."""
@@ -35,25 +37,45 @@ class LshIndex:
         gen = np.random.Generator(np.random.Philox(self.seed))
         # (tables, bits, d) hyperplanes, fixed for the life of the index.
         self.hyperplanes = gen.standard_normal((self.tables, self.bits, store.dimension))
-        self._weights = (1 << np.arange(self.bits, dtype=np.int64))
-        self._buckets: list[dict[int, np.ndarray]] = [dict() for _ in range(self.tables)]
+        # Codes are packed into little-endian words: one byte each when bits <= 8.
+        self._code_dtype = np.dtype("<u1" if self.bits <= 8 else "<u8")
         live = np.flatnonzero(store.alive)
-        if live.size:
-            codes = self.codes_for(store.features[live])
-            for table in range(self.tables):
-                order = np.argsort(codes[:, table], kind="stable")
-                sorted_codes = codes[order, table]
-                boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-                for group in np.split(order, boundaries):
-                    self._buckets[table][int(codes[group[0], table])] = live[group]
+        # Hashing in chunks bounds the (rows, tables * bits) projection's memory.
+        codes = np.empty((live.shape[0], self.tables), dtype=self._code_dtype)
+        for lo in range(0, live.shape[0], BUILD_CHUNK):
+            codes[lo:lo + BUILD_CHUNK] = self._packed_codes(store.features[live[lo:lo + BUILD_CHUNK]])
+        self._buckets: list[dict[int, np.ndarray]] = []
+        for table in range(self.tables):
+            # A stable sort keeps each bucket's members in index order; on
+            # uint8 keys numpy sorts by radix.
+            order = np.argsort(codes[:, table], kind="stable")
+            keys = codes[order, table]
+            members = live[order]
+            first = np.ones(keys.shape, dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            starts = np.flatnonzero(first)
+            ends = np.append(starts[1:], keys.shape[0])
+            self._buckets.append({
+                key: members[lo:hi]
+                for key, lo, hi in zip(keys[starts].tolist(), starts.tolist(), ends.tolist())
+            })
+
+    def _packed_codes(self, mat: np.ndarray) -> np.ndarray:
+        """(n, tables) codes of the rows of ``mat``, in ``_code_dtype``."""
+        n = mat.shape[0]
+        projections = mat @ self.hyperplanes.reshape(-1, mat.shape[1]).T
+        # Bit j of a table's code is its plane j; padding each code to a whole
+        # word lets one packbits call over each row pack them all.
+        width = 8 * self._code_dtype.itemsize
+        bits = np.zeros((n, self.tables, width), dtype=bool)
+        bits[..., : self.bits] = projections.reshape(n, self.tables, self.bits) >= 0.0
+        packed = np.packbits(bits.reshape(n, self.tables * width), axis=-1, bitorder="little")
+        return packed.view(self._code_dtype)
 
     def codes_for(self, vectors: np.ndarray) -> np.ndarray:
-        """(n, tables) bucket codes; each packs ``bits`` sign bits."""
+        """(n, tables) int64 bucket codes; each packs ``bits`` sign bits."""
         single = vectors.ndim == 1
-        mat = vectors[None, :] if single else vectors
-        projections = mat @ self.hyperplanes.reshape(-1, mat.shape[1]).T
-        bits = (projections >= 0.0).reshape(mat.shape[0], self.tables, self.bits)
-        codes = bits @ self._weights
+        codes = self._packed_codes(vectors[None, :] if single else vectors).astype(np.int64)
         return codes[0] if single else codes
 
     def add(self, index: int) -> None:
@@ -71,15 +93,14 @@ class LshIndex:
     def retrieve(self, query: np.ndarray) -> np.ndarray:
         """Union of the query's collision buckets, live examples only, sorted."""
         codes = self.codes_for(np.asarray(query, dtype=np.float64))
-        hits = [
-            bucket
-            for table in range(self.tables)
-            if (bucket := self._buckets[table].get(int(codes[table]))) is not None
-        ]
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        candidates = np.unique(np.concatenate(hits))
-        return candidates[self.store.alive[candidates]]
+        alive = self.store.alive
+        mark = np.zeros_like(alive)
+        for table, code in enumerate(codes.tolist()):
+            bucket = self._buckets[table].get(code)
+            if bucket is not None:
+                mark[bucket] = True
+        mark &= alive
+        return np.flatnonzero(mark)
 
     def occupancy(self) -> list[dict[str, float]]:
         """Per-table bucket statistics, for tuning bits/tables."""

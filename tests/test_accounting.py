@@ -179,6 +179,39 @@ def test_ledger_budgets_non_increasing():
         assert np.all(after <= before + 1e-15)
 
 
+def test_ledger_appends_match_naive_append_bitwise():
+    gen = np.random.default_rng(11)
+    ledger = IndividualLedger(1000, budget=2.0)
+    z, unlimited = ledger.z.copy(), ledger.unlimited.copy()
+    reallocations = 0
+    for k in range(5000):
+        private = np.flatnonzero(~unlimited)
+        idx = gen.choice(private, size=4, replace=False)
+        amounts = gen.random(4) * 1e-3
+        ledger.spend(idx, amounts)
+        z[idx] = z[idx] - amounts
+        before = ledger.z
+        public = bool(gen.random() < 0.3)
+        assert ledger.append(unlimited=public) == k + 1000
+        z = np.append(z, 2.0)
+        unlimited = np.append(unlimited, public)
+        reallocations += not np.shares_memory(before, ledger.z)
+        assert len(ledger) == ledger.z.shape[0] == ledger.unlimited.shape[0] == k + 1001
+        if k % 100 == 0 or k == 4999:
+            assert ledger.z.tobytes() == z.tobytes()
+            assert ledger.unlimited.tobytes() == unlimited.tobytes()
+    # 1000 -> 6000 entries: at most ceil(log2(6)) + 1 reallocations
+    assert 1 <= reallocations <= math.ceil(math.log2(6)) + 1
+
+
+def test_ledger_append_grows_an_empty_ledger():
+    ledger = IndividualLedger(0, budget=1.0)
+    for k in range(5):
+        assert ledger.append(unlimited=k == 2) == k
+    assert ledger.z.tolist() == [1.0] * 5
+    assert ledger.unlimited.tolist() == [False, False, True, False, False]
+
+
 # -- audit oracle ------------------------------------------------------------------
 
 

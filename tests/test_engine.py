@@ -29,6 +29,7 @@ from dpknn import (
     select_neighbors,
 )
 from dpknn.engine import _accumulate_votes
+from dpknn.kernels import normalize_rows
 from reference import noiseless_vote, reference_stream
 
 
@@ -498,6 +499,105 @@ def test_add_example_validates():
         store.add_example(np.ones(5), 0)
     with pytest.raises(IngestionError, match="label"):
         store.add_example(np.ones(8), 3)
+
+
+# -- amortized growth ----------------------------------------------------------------
+
+GROWN = ("features", "labels", "public", "alive")
+
+
+def store_arrays(store):
+    arrays = {name: getattr(store, name) for name in GROWN}
+    arrays.update(z=store.ledger.z, unlimited=store.ledger.unlimited)
+    return arrays
+
+
+def test_inserts_match_naive_vstack_append_bitwise():
+    gen = np.random.default_rng(8)
+    store = small_store(n=1000, d=8, seed=8)
+    want = {name: a.copy() for name, a in store_arrays(store).items()}
+    seen = store_arrays(store)
+    reallocations = dict.fromkeys(seen, 0)
+
+    def remove_one():
+        i = int(gen.choice(np.flatnonzero(store.alive)))
+        store.remove_example(i)
+        want["alive"][i] = False
+
+    for k in range(5000):
+        if gen.random() < 0.05:
+            remove_one()
+        if store.features.shape[0] in (1000, 1999, 2000, 3999, 4000):  # just before a crossing
+            remove_one()
+        private = np.flatnonzero(~store.ledger.unlimited)
+        spent = gen.choice(private, size=3, replace=False)
+        store.ledger.spend(spent, np.full(3, 1e-3))
+        want["z"][spent] = want["z"][spent] - 1e-3
+        feature = unit_rows(gen, 1, 8)[0]
+        label = int(gen.integers(0, 3))
+        public = bool(k % 3 == 0)
+        index = store.add_example(feature, label, public=public)
+        assert index == want["features"].shape[0]
+        want["features"] = np.vstack([want["features"], normalize_rows(feature[None, :])])
+        want["labels"] = np.append(want["labels"], label)
+        want["public"] = np.append(want["public"], public)
+        want["alive"] = np.append(want["alive"], True)
+        want["z"] = np.append(want["z"], store.ledger.budget)
+        want["unlimited"] = np.append(want["unlimited"], public)
+        got = store_arrays(store)
+        moved = [name for name, array in got.items() if not np.shares_memory(array, seen[name])]
+        for name in moved:
+            reallocations[name] += 1
+        if moved:
+            remove_one()  # just after a crossing
+        seen = got
+        assert len(store.ledger) == store.features.shape[0] == store.alive.shape[0] \
+            == store.public.shape[0] == store.labels.shape[0]
+        if k % 50 == 0 or k == 4999:
+            for name, array in store_arrays(store).items():
+                assert array.dtype == want[name].dtype, name
+                assert array.tobytes() == want[name].tobytes(), f"{name} after {k + 1} inserts"
+    # 1000 -> 6000 rows: at most ceil(log2(6)) + 1 buffer reallocations per array
+    assert all(1 <= count <= math.ceil(math.log2(6)) + 1 for count in reallocations.values()), \
+        reallocations
+
+
+def test_store_never_writes_the_arrays_it_was_built_from():
+    gen = np.random.default_rng(2)
+    features = unit_rows(gen, 50, 8)
+    labels = gen.integers(0, 3, size=50)
+    kept = features.copy(), labels.copy()
+    features.flags.writeable = False
+    labels.flags.writeable = False
+    store = ExampleStore(features, labels, 3, config(reuse_predictions=True))
+    store.remove_example(0)
+    src = NoiseSource(4)
+    for q in unit_rows(gen, 40, 8):
+        answer_query(store, q, src)
+        store.add_example(q, 1)
+        store.remove_example(int(np.flatnonzero(store.alive)[0]))
+    assert store.features.shape[0] == 130
+    assert (features == kept[0]).all() and (labels == kept[1]).all()
+
+
+def test_stores_built_from_one_dataset_stay_independent_under_reuse():
+    gen = np.random.default_rng(5)
+    features = unit_rows(gen, 60, 8)
+    labels = gen.integers(0, 3, size=60)
+    queries = unit_rows(gen, 30, 8)
+    cfg = config(reuse_predictions=True)
+    first = ExampleStore(features, labels, 3, cfg)
+    second = ExampleStore(features, labels, 3, cfg)
+    untouched = {name: a.copy() for name, a in store_arrays(second).items()}
+    a = answer_stream(first, queries, NoiseSource(6))
+    assert first.features.shape[0] == 90
+    for name, array in store_arrays(second).items():
+        assert array.tobytes() == untouched[name].tobytes(), name
+    b = answer_stream(second, queries, NoiseSource(6))
+    assert [o.answer for o in a] == [o.answer for o in b]
+    grown = store_arrays(second)
+    for name, array in store_arrays(first).items():
+        assert array.tobytes() == grown[name].tobytes(), name
 
 
 # -- prediction reuse ----------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from dpknn import (
     MetricsReport,
+    NoiseSource,
     SpecError,
     parse_spec,
     run_experiment,
@@ -15,6 +16,7 @@ from dpknn import (
     write_features,
     write_labels,
 )
+from dpknn import experiment
 
 EMPTY_SHA = hashlib.sha256().hexdigest()
 
@@ -261,6 +263,22 @@ def test_sweep_reports_stage_one_and_cells():
     # ties prefer the larger noise scale
     contenders = [c for c in cells if c["accuracy"] == top]
     assert best["sigma_vote"] == max(c["sigma_vote"] for c in contenders)
+
+
+def test_sweep_cells_closer_than_a_thousandth_draw_different_noise(monkeypatch):
+    tapes = []
+
+    class Recording(NoiseSource):
+        def __init__(self, seed):
+            super().__init__(seed)
+            tapes.append(NoiseSource(seed).standard_normal(16).tolist())
+
+    monkeypatch.setattr(experiment, "NoiseSource", Recording)
+    doc = sweep_doc()
+    doc["sweep"]["sigma_grid"] = [0.569, 0.5695]  # int(1000 * sigma) is 569 for both
+    result = sweep(doc)
+    assert len(tapes) == len(result["results"]["None"]["cells"]) == 6
+    assert len({tuple(tape) for tape in tapes}) == len(tapes)
 
 
 def test_sweep_over_multiple_epsilons():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import small_store, unit_rows
+from dpknn import lsh
 from dpknn import (
     EngineConfig,
     ExampleStore,
@@ -92,6 +93,51 @@ def test_buckets_partition_live_examples():
         assert row["min"] >= 1
 
 
+def one_shot_buckets(index, store):
+    """Buckets formed from codes_for over every live row at once, by a per-code scan."""
+    live = np.flatnonzero(store.alive)
+    codes = index.codes_for(store.features[live])
+    return [{int(c): live[codes[:, t] == c] for c in np.unique(codes[:, t])}
+            for t in range(index.tables)]
+
+
+def assert_same_buckets(got, want):
+    for table_got, table_want in zip(got, want, strict=True):
+        assert list(table_got) == sorted(table_want)  # keys in ascending order
+        for key, members in table_want.items():
+            assert table_got[key].dtype == np.int64
+            assert table_got[key].tolist() == members.tolist()
+
+
+@pytest.mark.parametrize("n", [0, 5, 2 * lsh.BUILD_CHUNK + 3])
+@pytest.mark.parametrize("bits", [3, 8, 12, 63])
+def test_chunked_build_matches_one_shot_codes(n, bits):
+    gen = np.random.default_rng(n + bits)
+    store = make_store(unit_rows(gen, n, 8), gen.integers(0, 3, size=n)) if n else small_store(n=1)
+    store.remove_example(n // 2)  # n = 0 builds over a store whose only row is removed
+    index = build_index(store, tables=3, bits=bits, seed=4)
+    assert_same_buckets(index._buckets, one_shot_buckets(index, store))
+
+
+def test_build_with_small_chunks_matches_one_shot_codes(monkeypatch):
+    monkeypatch.setattr(lsh, "BUILD_CHUNK", 7)
+    store = small_store(n=60, d=8)
+    for i in (0, 6, 7, 59):
+        store.remove_example(i)
+    index = build_index(store, tables=5, bits=4, seed=2)
+    assert_same_buckets(index._buckets, one_shot_buckets(index, store))
+
+
+def test_batch_codes_equal_single_vector_codes():
+    vectors = unit_rows(np.random.default_rng(10), 10_000, 64)
+    store = small_store(n=5, d=64)
+    index = build_index(store, tables=30, bits=8, seed=3)
+    codes = index.codes_for(vectors)
+    assert codes.dtype == np.int64
+    for i, v in enumerate(vectors):
+        assert (index.codes_for(v) == codes[i]).all(), i
+
+
 # -- retrieval ----------------------------------------------------------------------
 
 
@@ -127,6 +173,43 @@ def test_retrieve_on_empty_store():
     store.remove_example(0)
     index = build_index(store, tables=2, bits=3, seed=0)
     assert index.retrieve(np.eye(8)[0]).size == 0
+
+
+def union_then_filter(index, q):
+    """Retrieval as the union of collision buckets by np.unique, then the alive filter."""
+    codes = index.codes_for(q)
+    hits = [index._buckets[t][int(c)] for t, c in enumerate(codes) if int(c) in index._buckets[t]]
+    if not hits:
+        return np.empty(0, dtype=np.int64)
+    candidates = np.unique(np.concatenate(hits))
+    return candidates[index.store.alive[candidates]]
+
+
+def test_retrieve_matches_union_reference_across_inserts_and_removals():
+    gen = np.random.default_rng(21)
+    feats, labels, means = clustered(gen, 4, 25, 8, spread=0.2)
+    store = make_store(feats, labels)
+    index = build_index(store, tables=6, bits=3, seed=7)
+    queries = unit_rows(gen, 10, 8)
+
+    def check():
+        for q in np.vstack([queries, means]):
+            got = index.retrieve(q)
+            want = union_then_filter(index, q)
+            assert got.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+
+    check()
+    for step in range(60):
+        if step % 3 == 0:
+            index.add(store.add_example(means[step % 4] + 0.1 * gen.standard_normal(8), 1))
+        live = np.flatnonzero(store.alive)
+        store.remove_example(int(gen.choice(live)))
+        check()
+    for i in np.flatnonzero(store.alive):
+        store.remove_example(int(i))
+    check()
+    assert all(index.retrieve(q).size == 0 for q in queries)
 
 
 # -- engine integration ---------------------------------------------------------------
