@@ -15,8 +15,6 @@ from .accounting import (
     LedgerInvariantError,
     budget_for_dp,
     classical_dp_bound,
-    filter_active,
-    gaussian_individual_rdp,
     oracle_compose,
     rdp_to_dp,
 )
@@ -44,22 +42,18 @@ from .engine import (
     QueryOutcome,
     answer_query,
     answer_stream,
-    charge_label,
-    contribution,
+    capped_votes,
     select_neighbors,
 )
 from .kernels import (
     DEFAULT_RBF_BANDWIDTH,
     IngestionError,
     KernelSpec,
-    kernel_eval,
     kernel_weights,
-    l2_normalize,
     normalize_rows,
 )
 from .lsh import LshIndex, answer_query_hashed, build_index
 from .mechanisms import NoiseSource, noisy_argmax, noisy_count
-from .presets import PRESETS, get_preset
 from .experiment import (
     ExperimentSpec,
     MetricsReport,
@@ -78,8 +72,6 @@ __all__ = [
     "LedgerInvariantError",
     "budget_for_dp",
     "classical_dp_bound",
-    "filter_active",
-    "gaussian_individual_rdp",
     "oracle_compose",
     "rdp_to_dp",
     "NaiveKnnConfig",
@@ -101,15 +93,12 @@ __all__ = [
     "QueryOutcome",
     "answer_query",
     "answer_stream",
-    "charge_label",
-    "contribution",
+    "capped_votes",
     "select_neighbors",
     "DEFAULT_RBF_BANDWIDTH",
     "IngestionError",
     "KernelSpec",
-    "kernel_eval",
     "kernel_weights",
-    "l2_normalize",
     "normalize_rows",
     "LshIndex",
     "answer_query_hashed",
@@ -117,8 +106,6 @@ __all__ = [
     "NoiseSource",
     "noisy_argmax",
     "noisy_count",
-    "PRESETS",
-    "get_preset",
     "ExperimentSpec",
     "MetricsReport",
     "SpecError",

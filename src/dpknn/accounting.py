@@ -66,21 +66,6 @@ class ChargeRecord:
     label_charge: float
 
 
-def gaussian_individual_rdp(contribution_norm: float, sigma: float, alpha: float) -> float:
-    """Order-alpha Renyi divergence of a Gaussian release for one example.
-
-    ``contribution_norm`` is the L2 norm of the example's contribution to the
-    released statistic; ``sigma`` the noise scale.
-    """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    if contribution_norm < 0.0:
-        raise ValueError(f"contribution norm must be nonnegative, got {contribution_norm}")
-    return alpha * contribution_norm * contribution_norm / (2.0 * sigma * sigma)
-
-
 def classical_dp_bound(budget: float, delta: float) -> float:
     """The closed-form conversion B + 2 * sqrt(B * log(1 / delta))."""
     return budget + 2.0 * math.sqrt(budget * math.log(1.0 / delta))
@@ -183,18 +168,6 @@ class IndividualLedger:
         if self.unlimited[index]:
             return math.inf
         return float(self.z[index])
-
-
-def filter_active(ledger: IndividualLedger, threshold: float) -> np.ndarray:
-    """Indices still allowed to participate at the given per-query count cost.
-
-    ``threshold`` is the count charge 1 / (2 sigma_count^2): an example whose
-    remaining budget cannot cover one more count release is retired.  The
-    boundary is inclusive.  Unlimited (public) entries always pass.
-    """
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    return np.flatnonzero(ledger.active_mask(threshold))
 
 
 def oracle_compose(records: list[ChargeRecord]) -> dict[int, float]:

@@ -41,7 +41,6 @@ from .accounting import (
     ChargeRecord,
     DpParams,
     IndividualLedger,
-    LedgerInvariantError,
     budget_for_dp,
     with_room,
 )
@@ -71,7 +70,6 @@ class EngineConfig:
     sigma_count: float | None = None
     reuse_predictions: bool = False
     count_floor: float = DEFAULT_COUNT_FLOOR
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.weight_threshold <= 1.0:
@@ -127,10 +125,10 @@ class ExampleStore:
 
     Arrays are append-only; removal flips the alive flag, so an example's
     index is stable for its whole life and afterwards.  ``public`` marks
-    reused predictions, which carry no budget.  ``features``, ``labels``,
-    ``public`` and ``alive`` are views of the live prefix of capacity-doubling
-    buffers: an insert writes one row, and the arrays passed in are never
-    written (the first insert copies them).
+    reused predictions, which carry no budget.  ``features``, ``labels`` and
+    ``alive`` are views of the live prefix of capacity-doubling buffers: an
+    insert writes one row, and the arrays passed in are never written (the
+    first insert copies them).
     """
 
     def __init__(self, features, labels, num_classes: int, config: EngineConfig):
@@ -151,7 +149,6 @@ class ExampleStore:
         self.num_classes = int(num_classes)
         self.features = self._features = feats
         self.labels = self._labels = labs
-        self.public = self._public = np.zeros(feats.shape[0], dtype=bool)
         self.alive = self._alive = np.ones(feats.shape[0], dtype=bool)
         self.ledger = IndividualLedger(feats.shape[0], config.per_example_budget)
         self.released: list[QueryOutcome] = []
@@ -162,6 +159,11 @@ class ExampleStore:
     @property
     def dimension(self) -> int:
         return self.features.shape[1]
+
+    @property
+    def public(self) -> np.ndarray:
+        """Reused-prediction markers; the ledger's ``unlimited`` flags, not a copy."""
+        return self.ledger.unlimited
 
     @property
     def size(self) -> int:
@@ -189,14 +191,12 @@ class ExampleStore:
         n = self.features.shape[0]
         self._features = with_room(self._features, n)
         self._labels = with_room(self._labels, n)
-        self._public = with_room(self._public, n)
         self._alive = with_room(self._alive, n)
         self._features[n] = feat
         self._labels[n] = int(label)
-        self._public[n] = bool(public)
         self._alive[n] = True
         self.features, self.labels = self._features[: n + 1], self._labels[: n + 1]
-        self.public, self.alive = self._public[: n + 1], self._alive[: n + 1]
+        self.alive = self._alive[: n + 1]
         self.ledger.append(unlimited=public)
         return n
 
@@ -207,48 +207,29 @@ class ExampleStore:
         self.alive[index] = False
 
 
-# -- per-example vote arithmetic (scalar surface) ------------------------------
+# -- per-example vote arithmetic ----------------------------------------------
 
 
-def contribution(weight: float, label: int, released_count: float, remaining: float,
-                 sigma_vote: float, num_classes: int) -> np.ndarray:
-    """One private example's vote: one-hot at its label, magnitude capped.
+def capped_votes(weights: np.ndarray, remaining: np.ndarray, released_count: float,
+                 sigma_vote: float) -> tuple[np.ndarray, np.ndarray]:
+    """Capped vote magnitudes and label charges of private examples.
 
-    The cap sigma_vote * sqrt(2 K z) is exactly the magnitude whose label
-    charge would consume the example's whole remaining budget z.
-    """
-    if remaining < -IndividualLedger.SLACK:
-        raise LedgerInvariantError(f"negative remaining budget {remaining}")
-    cap = sigma_vote * math.sqrt(2.0 * released_count * max(remaining, 0.0))
-    vec = np.zeros(num_classes, dtype=np.float64)
-    vec[label] = min(weight, cap)
-    return vec
-
-def charge_label(remaining: float, vote: np.ndarray, sigma_vote: float,
-                 released_count: float) -> float:
-    """Budget left after paying ||vote||^2 / (2 sigma_vote^2 K).
-
-    By the cap construction the charge never exceeds ``remaining``; a cap-
-    saturated vote lands on exactly zero (any sub-1e-12 residual is float
-    round-trip error from the sqrt in the cap, not real budget).
+    An example with weight w and remaining budget z (after its count charge)
+    votes min(w, sigma_vote * sqrt(2 K z)) and pays magnitude^2 /
+    (2 sigma_vote^2 K).  The cap is exactly the magnitude whose charge
+    consumes all of z, so a saturated example is charged z itself and lands
+    on exactly zero.
     """
     denom = 2.0 * sigma_vote * sigma_vote * released_count
-    sq = float(np.dot(vote, vote))
-    if sq >= denom * remaining * (1.0 - 1e-12):
-        return 0.0
-    new = remaining - sq / denom
-    if new < -IndividualLedger.SLACK:
-        raise LedgerInvariantError(f"label charge exceeded remaining budget ({new})")
-    return max(new, 0.0)
+    saturated = weights * weights >= denom * remaining
+    cap = sigma_vote * np.sqrt(2.0 * released_count * remaining)
+    magnitudes = np.where(saturated, cap, weights)
+    label_charges = np.where(saturated, remaining, weights * weights / denom)
+    return magnitudes, label_charges
 
 
 def _accumulate_votes(labels: np.ndarray, magnitudes: np.ndarray, num_classes: int) -> np.ndarray:
-    """Index-ordered per-class sums; compensated above 1e5 contributors."""
-    if labels.shape[0] > 100_000:
-        votes = np.zeros(num_classes, dtype=np.float64)
-        for c in range(num_classes):
-            votes[c] = math.fsum(magnitudes[labels == c])
-        return votes
+    """Index-ordered per-class sums."""
     # bincount returns int64 for empty input even with float weights
     counts = np.bincount(labels, weights=magnitudes, minlength=num_classes)
     return counts.astype(np.float64, copy=False)
@@ -300,11 +281,9 @@ def answer_query(store: ExampleStore, query, src: NoiseSource,
     priv_w = weights[~is_public]
 
     # Caps and label charges see the post-count budget; both charges land in one checked step.
-    z = store.ledger.z[priv] - cfg.count_charge
-    denom = 2.0 * cfg.sigma_vote * cfg.sigma_vote * released
-    saturated = priv_w * priv_w >= denom * z
-    magnitudes = np.where(saturated, cfg.sigma_vote * np.sqrt(2.0 * released * z), priv_w)
-    label_charges = np.where(saturated, z, priv_w * priv_w / denom)
+    magnitudes, label_charges = capped_votes(
+        priv_w, store.ledger.z[priv] - cfg.count_charge, released, cfg.sigma_vote
+    )
     store.ledger.spend(priv, cfg.count_charge, label_charges)
 
     votes = _accumulate_votes(store.labels[priv], magnitudes, store.num_classes)

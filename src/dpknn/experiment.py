@@ -76,21 +76,22 @@ class ExperimentSpec:
     mutations: list[dict] = field(default_factory=list)
     sweep: dict | None = None
 
-    def engine_config(self, *, sigma_vote: float | None = None,
-                      weight_threshold: float | None = None,
-                      reuse: bool | None = None) -> EngineConfig:
+    def engine_config(self) -> EngineConfig:
         return EngineConfig(
             kernel=self.kernel,
-            weight_threshold=self.weight_threshold if weight_threshold is None else weight_threshold,
-            sigma_vote=self.sigma_vote if sigma_vote is None else sigma_vote,
+            weight_threshold=self.weight_threshold,
+            sigma_vote=self.sigma_vote,
             planned_queries=self.queries,
             dp=self.dp,
             budget=self.budget,
             sigma_count=self.sigma_count,
-            reuse_predictions=self.reuse if reuse is None else reuse,
+            reuse_predictions=self.reuse,
             count_floor=self.count_floor,
-            seed=self.seed,
         )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_spec(document: dict) -> ExperimentSpec:
@@ -146,13 +147,19 @@ def parse_spec(document: dict) -> ExperimentSpec:
         raise SpecError("baseline mode needs a 'baseline' section with k and sigma")
     if spec.mode == "baseline" and spec.dp is None:
         raise SpecError("baseline mode needs an (epsilon, delta) target for its accountant")
-    if spec.mode == "hashed" and spec.index is None:
-        raise SpecError("hashed mode needs an 'index' section with tables and bits")
+    if spec.mode == "hashed" and not (
+        isinstance(spec.index, dict) and all(_is_int(spec.index.get(k)) for k in ("tables", "bits"))
+    ):
+        raise SpecError("hashed mode needs an 'index' section with integer tables and bits")
     for event in spec.mutations:
-        if event.get("op") not in ("add", "remove"):
-            raise SpecError(f"mutation op must be 'add' or 'remove', got {event.get('op')!r}")
-        if int(event.get("at", -1)) < 0:
-            raise SpecError(f"mutation event needs a nonnegative 'at' query index: {event}")
+        if not isinstance(event, dict) or event.get("op") not in ("add", "remove"):
+            raise SpecError(f"mutation op must be 'add' or 'remove', got {event!r}")
+        if not _is_int(event.get("at")) or event["at"] < 0:
+            raise SpecError(f"mutation event needs a nonnegative 'at' query index (an integer): {event}")
+        if event["op"] == "remove" and not _is_int(event.get("index")):
+            raise SpecError(f"a 'remove' event needs an integer 'index': {event}")
+        if event["op"] == "add" and "features" in event and not _is_int(event.get("label")):
+            raise SpecError(f"an 'add' event with 'features' needs an integer 'label': {event}")
     return spec
 
 
@@ -229,7 +236,10 @@ def _run_stream(spec: ExperimentSpec, loaded: LoadedData, store: ExampleStore,
     for t in range(queries.shape[0]):
         for event in events_at.get(t, ()):
             if event["op"] == "remove":
-                store.remove_example(int(event["index"]))
+                try:
+                    store.remove_example(int(event["index"]))
+                except IndexError:
+                    raise SpecError(f"mutation event {event} hits no live example") from None
             else:
                 if "features" in event:
                     new = store.add_example(event["features"], int(event["label"]))

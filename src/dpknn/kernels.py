@@ -44,22 +44,6 @@ class KernelSpec:
             raise ValueError("bandwidth only applies to the rbf kernel")
 
 
-def l2_normalize(vector) -> np.ndarray:
-    """Scale a single vector to unit L2 norm.
-
-    Raises IngestionError on a zero (or numerically zero) vector, since such a
-    point has no direction and would break the unit-norm contract every other
-    component relies on.
-    """
-    v = np.asarray(vector, dtype=np.float64)
-    if v.ndim != 1:
-        raise IngestionError(f"expected a 1-D vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or not math.isfinite(norm):
-        raise IngestionError("cannot normalize a zero-norm feature vector")
-    return v / norm
-
-
 def normalize_rows(matrix) -> np.ndarray:
     """L2-normalize each row of an (n, d) matrix, naming any offending row."""
     mat = np.asarray(matrix, dtype=np.float64)
@@ -72,25 +56,13 @@ def normalize_rows(matrix) -> np.ndarray:
     return mat / norms[:, None]
 
 
-def kernel_eval(spec: KernelSpec, x, q) -> float:
-    """Similarity weight between one stored vector and one query.
+def kernel_weights(spec: KernelSpec, features: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Similarity weight of every row x of ``features`` against ``q``.
 
     rbf:     exp(-||x - q||^2 / bandwidth^2)
     cosine:  max(0, x . q)   (negative similarities carry no vote and are
              clamped so weights stay in [0, 1] for unit-norm inputs)
     """
-    xv = np.asarray(x, dtype=np.float64)
-    qv = np.asarray(q, dtype=np.float64)
-    if xv.shape != qv.shape or xv.ndim != 1:
-        raise ValueError(f"dimension mismatch: x has shape {xv.shape}, q has shape {qv.shape}")
-    if spec.kind == "rbf":
-        diff = xv - qv
-        return float(np.exp(-np.dot(diff, diff) / (spec.bandwidth * spec.bandwidth)))
-    return float(max(0.0, np.dot(xv, qv)))
-
-
-def kernel_weights(spec: KernelSpec, features: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Vectorized kernel_eval of every row of ``features`` against ``q``."""
     if features.ndim != 2 or q.ndim != 1 or features.shape[1] != q.shape[0]:
         raise ValueError(
             f"dimension mismatch: features {features.shape} vs query {q.shape}"

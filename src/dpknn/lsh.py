@@ -128,8 +128,11 @@ def answer_query_hashed(store: ExampleStore, index: LshIndex, query,
     """answer_query restricted to the index's candidates for this query.
 
     A reused prediction appended by the engine is indexed immediately so it is
-    retrievable from the very next query on.
+    retrievable from the very next query on.  ``index`` must have been built
+    over ``store``: it reads that store's alive mask and features.
     """
+    if index.store is not store:
+        raise ValueError("index was built over a different store")
     before = store.features.shape[0]
     outcome = answer_query(store, query, src, candidates=index.retrieve(query))
     for new in range(before, store.features.shape[0]):

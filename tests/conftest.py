@@ -22,7 +22,6 @@ def small_store(seed=0, n=30, d=8, c=3, budget=50.0, tau=0.3, sigma_vote=0.5,
         budget=budget,
         reuse_predictions=reuse,
         count_floor=count_floor,
-        seed=seed,
     )
     features = unit_rows(gen, n, d)
     labels = gen.integers(0, c, size=n)

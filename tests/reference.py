@@ -1,14 +1,16 @@
 """Independent straight-line reimplementations used as test oracles.
 
 Nothing here shares code with the engine: kernels are evaluated with
-math.fsum loops, budgets live in plain Python lists, and the query loop is
-written out longhand.  The only shared object is the NoiseSource a test
-passes in, so that both sides consume the identical standard-normal tape in
-the documented order (one scalar for the count, then one vector for the
-votes, every query).
+math.fsum loops or one scalar dot product per pair, budgets live in plain
+Python lists, and the query loop is written out longhand.  The only shared
+object is the NoiseSource a test passes in, so that both sides consume the
+identical standard-normal tape in the documented order (one scalar for the
+count, then one vector for the votes, every query).
 """
 
 import math
+
+import numpy as np
 
 
 def reference_stream(features, labels, num_classes, queries, *, kind, bandwidth,
@@ -94,3 +96,19 @@ def noiseless_vote(features, labels, num_classes, query, *, kind, bandwidth, tau
         if votes[c] > votes[best]:
             best = c
     return best, votes
+
+
+def kernel_eval(spec, x, q) -> float:
+    """Similarity weight between one stored vector and one query.
+
+    rbf:     exp(-||x - q||^2 / bandwidth^2)
+    cosine:  max(0, x . q)
+    """
+    xv = np.asarray(x, dtype=np.float64)
+    qv = np.asarray(q, dtype=np.float64)
+    if xv.shape != qv.shape or xv.ndim != 1:
+        raise ValueError(f"dimension mismatch: x has shape {xv.shape}, q has shape {qv.shape}")
+    if spec.kind == "rbf":
+        diff = xv - qv
+        return float(np.exp(-np.dot(diff, diff) / (spec.bandwidth * spec.bandwidth)))
+    return float(max(0.0, np.dot(xv, qv)))

@@ -11,34 +11,9 @@ from dpknn import (
     LedgerInvariantError,
     budget_for_dp,
     classical_dp_bound,
-    filter_active,
-    gaussian_individual_rdp,
     oracle_compose,
     rdp_to_dp,
 )
-
-
-# -- per-release cost ---------------------------------------------------------
-
-
-def test_gaussian_rdp_unit_case():
-    assert gaussian_individual_rdp(1.0, 1.0, 2.0) == 1.0
-
-
-def test_gaussian_rdp_zero_contribution():
-    assert gaussian_individual_rdp(0.0, 3.0, 7.0) == 0.0
-
-
-def test_gaussian_rdp_scaled_case():
-    # alpha * s^2 / (2 sigma^2) = 1.5 * 1 / 4 = 0.375
-    assert gaussian_individual_rdp(1.0, math.sqrt(2.0), 1.5) == pytest.approx(0.375)
-
-
-def test_gaussian_rdp_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        gaussian_individual_rdp(1.0, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        gaussian_individual_rdp(1.0, -1.0, 2.0)
 
 
 # -- conversion -----------------------------------------------------------------
@@ -121,21 +96,21 @@ def test_dp_params_validation():
 
 def test_filter_fresh_ledger_keeps_everyone():
     ledger = IndividualLedger(5, budget=1.0)
-    np.testing.assert_array_equal(filter_active(ledger, 0.01), np.arange(5))
+    np.testing.assert_array_equal(np.flatnonzero(ledger.active_mask(0.01)), np.arange(5))
 
 
 def test_filter_exhausted_keeps_only_unlimited():
     ledger = IndividualLedger(3, budget=1.0)
     ledger.unlimited[1] = True
     ledger.z[:] = 0.0
-    np.testing.assert_array_equal(filter_active(ledger, 0.01), [1])
+    np.testing.assert_array_equal(np.flatnonzero(ledger.active_mask(0.01)), [1])
 
 
 def test_filter_boundary_is_inclusive():
     threshold = 0.125
     ledger = IndividualLedger(3, budget=1.0)
     ledger.z[:] = [threshold, threshold - 1e-12, 2.0 * threshold]
-    np.testing.assert_array_equal(filter_active(ledger, threshold), [0, 2])
+    np.testing.assert_array_equal(np.flatnonzero(ledger.active_mask(threshold)), [0, 2])
 
 
 def test_ledger_spend_validation():

@@ -153,6 +153,35 @@ def test_errors_are_json_on_stderr(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] in ("FileNotFoundError", "OSError")
 
 
+def assert_spec_error(capsys, spec, match):
+    code, out, err = run_cli(capsys, "run", "--config", str(spec))
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "SpecError"
+    assert match in payload["error"]["message"]
+
+
+def test_remove_without_index_is_a_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, mutations=[{"op": "remove", "at": 1}])
+    assert_spec_error(capsys, spec, "integer 'index'")
+
+
+def test_hashed_index_without_tables_is_a_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, mode="hashed", index={"bits": 4})
+    assert_spec_error(capsys, spec, "integer tables and bits")
+
+
+def test_remove_of_no_live_example_is_a_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, mutations=[{"op": "remove", "index": 100000, "at": 1}])
+    assert_spec_error(capsys, spec, "no live example")
+
+
+def test_add_with_features_but_no_label_is_a_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, mutations=[{"op": "add", "at": 1, "features": [1.0] * 8}])
+    assert_spec_error(capsys, spec, "integer 'label'")
+
+
 def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -17,6 +17,7 @@ from dpknn import (
     DpParams,
     EngineConfig,
     ExampleStore,
+    IndividualLedger,
     IngestionError,
     KernelSpec,
     LedgerInvariantError,
@@ -24,8 +25,7 @@ from dpknn import (
     answer_query,
     answer_stream,
     budget_for_dp,
-    charge_label,
-    contribution,
+    capped_votes,
     select_neighbors,
 )
 from dpknn.engine import _accumulate_votes
@@ -94,41 +94,39 @@ def test_config_rejects_bad_values(bad):
 
 def test_contribution_caps_at_budget_neutral_magnitude():
     # cap = 0.5 * sqrt(2 * 30 / 60) = 0.5, below the raw weight 0.9
-    vec = contribution(0.9, 1, 30.0, 1.0 / 60.0, 0.5, 3)
-    assert vec == pytest.approx([0.0, 0.5, 0.0])
+    magnitudes, charges = capped_votes(np.array([0.9]), np.array([1.0 / 60.0]), 30.0, 0.5)
+    assert magnitudes == pytest.approx([0.5])
+    assert charges.tolist() == [1.0 / 60.0]  # the whole remaining budget
 
 
 def test_contribution_uses_weight_when_budget_ample():
-    vec = contribution(0.4, 2, 30.0, 10.0, 0.5, 4)
-    assert vec == pytest.approx([0.0, 0.0, 0.4, 0.0])
+    magnitudes, _ = capped_votes(np.array([0.4, 0.7]), np.array([10.0, 10.0]), 30.0, 0.5)
+    assert magnitudes.tolist() == [0.4, 0.7]
 
 
 def test_contribution_zero_budget_is_silent():
-    assert contribution(0.9, 0, 30.0, 0.0, 0.5, 3) == pytest.approx([0.0, 0.0, 0.0])
-    # tiny negative residue inside ledger slack is treated as empty, not an error
-    assert contribution(0.9, 0, 30.0, -1e-12, 0.5, 3) == pytest.approx([0.0, 0.0, 0.0])
-
-
-def test_contribution_rejects_real_overdraft():
-    with pytest.raises(LedgerInvariantError):
-        contribution(0.9, 0, 30.0, -1e-6, 0.5, 3)
+    magnitudes, charges = capped_votes(np.array([0.9]), np.array([0.0]), 30.0, 0.5)
+    assert magnitudes.tolist() == [0.0]
+    assert charges.tolist() == [0.0]
 
 
 def test_charge_label_matches_closed_form():
-    vote = np.array([0.5, 0.0, 0.0])
-    new = charge_label(1.0, vote, 0.4, 30.0)
-    assert new == pytest.approx(1.0 - 0.25 / 9.6, rel=1e-12)
+    _, charges = capped_votes(np.array([0.5]), np.array([1.0]), 30.0, 0.4)
+    assert charges[0] == pytest.approx(0.25 / 9.6, rel=1e-12)  # w^2 / (2 sigma^2 K)
 
 
 def test_charge_label_saturated_is_exactly_zero():
-    remaining = 0.3
-    cap = 0.5 * math.sqrt(2.0 * 30.0 * remaining)
-    vote = np.array([0.0, cap])
-    assert charge_label(remaining, vote, 0.5, 30.0) == 0.0
-
-
-def test_charge_label_negative_remaining_within_slack():
-    assert charge_label(-1e-10, np.array([0.1]), 0.5, 30.0) == 0.0
+    count_charge = 0.125
+    ledger = IndividualLedger(3, budget=0.425)
+    z = ledger.z - count_charge
+    cap = 0.05 * math.sqrt(2.0 * 30.0 * z[0])
+    # far above the cap, then at it and just below it, where rounding decides
+    weights = np.array([0.95, cap, np.nextafter(cap, 0.0)])
+    magnitudes, charges = capped_votes(weights, z, 30.0, 0.05)
+    assert magnitudes[0] == cap and charges[0] == z[0]
+    ledger.spend(np.arange(3), count_charge, charges)
+    assert ledger.z[0] == 0.0
+    assert np.all(np.abs(ledger.z[1:]) <= IndividualLedger.SLACK)
 
 
 @pytest.mark.parametrize("n", [0, 1_000, 100_000, 100_001])
@@ -139,10 +137,8 @@ def test_accumulate_votes_matches_per_class_fsum(n):
     got = _accumulate_votes(labels, magnitudes, 4)
     want = np.array([math.fsum(magnitudes[labels == c]) for c in range(4)])
     assert got.dtype == np.float64
-    if n > 100_000:  # compensated branch: exactly the correctly rounded sums
-        assert np.array_equal(got, want)
-    else:  # plain index-ordered sums, within their rounding bound
-        np.testing.assert_allclose(got, want, rtol=max(n, 1) * 2.0**-53, atol=0.0)
+    # plain index-ordered sums, within their rounding bound
+    np.testing.assert_allclose(got, want, rtol=max(n, 1) * 2.0**-53, atol=0.0)
 
 
 # -- selection --------------------------------------------------------------------
@@ -216,13 +212,16 @@ def test_answer_query_rejects_non_finite_query(bad):
     assert store.queries_answered == 0
 
 
-def test_failed_charge_leaves_ledger_and_trail_untouched():
+def test_failed_charge_leaves_ledger_and_trail_untouched(monkeypatch):
     store = small_store(n=20, tau=0.1)
     q = store.features[0]
-    # The ledger disagrees with the store about example 0, which the query selects.
-    store.ledger.unlimited[0] = True
+
+    def refuse(self, indices, *amounts):
+        raise LedgerInvariantError("refused")
+
+    monkeypatch.setattr(IndividualLedger, "spend", refuse)
     before = store.ledger.z.copy()
-    with pytest.raises(LedgerInvariantError, match="public"):
+    with pytest.raises(LedgerInvariantError, match="refused"):
         answer_query(store, q, NoiseSource(0))
     assert np.array_equal(store.ledger.z, before)
     assert store.released == []
@@ -553,6 +552,7 @@ def test_inserts_match_naive_vstack_append_bitwise():
         seen = got
         assert len(store.ledger) == store.features.shape[0] == store.alive.shape[0] \
             == store.public.shape[0] == store.labels.shape[0]
+        assert np.shares_memory(store.public, store.ledger.unlimited), f"after {k + 1} inserts"
         if k % 50 == 0 or k == 4999:
             for name, array in store_arrays(store).items():
                 assert array.dtype == want[name].dtype, name

@@ -62,6 +62,8 @@ def test_parse_accepts_minimal_spec():
     (spec_doc(mode="hashed"), "hashed mode needs an 'index'"),
     (spec_doc(mutations=[{"op": "rename", "at": 1}]), "mutation op"),
     (spec_doc(mutations=[{"op": "remove", "index": 0}]), "nonnegative 'at'"),
+    (spec_doc(mutations=[{"op": "remove", "index": 0, "at": None}]), "nonnegative 'at'"),
+    (spec_doc(mutations=["remove"]), "mutation op"),
 ])
 def test_parse_rejects_malformed_specs(doc, match):
     with pytest.raises(SpecError, match=match):
@@ -233,7 +235,7 @@ def test_mutation_remove_of_dead_row_fails_loudly():
         {"op": "remove", "index": 2, "at": 0},
         {"op": "remove", "index": 2, "at": 1},
     ])
-    with pytest.raises(IndexError, match="no live example"):
+    with pytest.raises(SpecError, match="no live example"):
         run_experiment(doc)
 
 

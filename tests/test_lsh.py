@@ -246,6 +246,19 @@ def test_empty_retrieval_charges_nothing():
     assert 0 <= out.answer < 3
 
 
+def test_hashed_answer_rejects_an_index_built_over_another_store():
+    gen = np.random.default_rng(12)
+    feats, labels, means = clustered(gen, 1, 10, 8)
+    store = make_store(feats, labels, reuse_predictions=True)
+    other = make_store(feats, labels, reuse_predictions=True)
+    index = build_index(other, tables=4, bits=3, seed=2)
+    src = NoiseSource(3)
+    with pytest.raises(ValueError, match="different store"):
+        answer_query_hashed(store, index, means[0], src)
+    assert store.released == [] and src.draws == 0
+    assert store.features.shape[0] == other.features.shape[0] == 10
+
+
 def test_reused_prediction_is_indexed_immediately():
     gen = np.random.default_rng(6)
     feats, labels, means = clustered(gen, 2, 10, 8)
