@@ -149,9 +149,14 @@ class IndividualLedger:
         self.z, self.unlimited = self._z[: n + 1], self._unlimited[: n + 1]
         return n
 
-    def active_mask(self, threshold: float) -> np.ndarray:
-        """Entries allowed to participate: unlimited, or z >= threshold."""
-        return self.unlimited | (self.z >= threshold)
+    def active_mask(self, threshold: float, indices: np.ndarray | None = None) -> np.ndarray:
+        """Entries allowed to participate: unlimited, or z >= threshold.
+
+        With ``indices``, the mask covers those entries only, in their order.
+        """
+        if indices is None:
+            return self.unlimited | (self.z >= threshold)
+        return self.unlimited[indices] | (self.z[indices] >= threshold)
 
     def spend(self, indices: np.ndarray, *amounts) -> None:
         """Deduct nonnegative charges, as (z - a) - b, from private entries; all or nothing."""

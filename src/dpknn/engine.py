@@ -243,16 +243,17 @@ def select_neighbors(store: ExampleStore, query: np.ndarray,
     """Indices and weights of eligible examples at or above the weight threshold.
 
     Eligible = alive, and either public or budgeted for one more count
-    release.  ``candidates`` (from an index) restricts the scan.  The decision
-    for an example depends only on its own feature, budget, and the query.
+    release.  ``candidates`` (from an index) restricts the scan, and the
+    filter then reads only their entries.  The decision for an example
+    depends only on its own feature, budget, and the query.
     """
     cfg = store.config
-    mask = store.alive & store.ledger.active_mask(cfg.count_charge)
-    if candidates is not None:
-        restricted = np.zeros_like(mask)
-        restricted[candidates] = True
-        mask &= restricted
-    active = np.flatnonzero(mask)
+    if candidates is None:
+        active = np.flatnonzero(store.alive & store.ledger.active_mask(cfg.count_charge))
+    else:
+        # Sorted and deduplicated, as a mask over the store would give them.
+        active = np.unique(candidates)
+        active = active[store.alive[active] & store.ledger.active_mask(cfg.count_charge, active)]
     weights = kernel_weights(cfg.kernel, store.features[active], query)
     keep = weights >= cfg.weight_threshold
     return active[keep], weights[keep]

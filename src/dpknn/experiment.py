@@ -94,6 +94,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _section(document: dict, key: str, where: str = "spec"):
+    """``document[key]``, which must be a JSON object when present; None when absent."""
+    if key not in document:
+        return None
+    value = document[key]
+    if not isinstance(value, dict):
+        raise SpecError(
+            f"{where} section '{key}' must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def parse_spec(document: dict) -> ExperimentSpec:
     if not isinstance(document, dict):
         raise SpecError(f"spec must be a JSON object, got {type(document).__name__}")
@@ -106,7 +117,10 @@ def parse_spec(document: dict) -> ExperimentSpec:
     engine = document.get("engine")
     if not isinstance(engine, dict):
         raise SpecError("spec is missing its 'engine' section")
-    kernel_doc = engine.get("kernel", {"kind": "cosine"})
+    kernel_doc = _section(engine, "kernel", "engine") or {}
+    data = _section(document, "data") or {}
+    _section(data, "synthetic", "data")
+    baseline = _section(document, "baseline")
     try:
         kernel = KernelSpec(kernel_doc.get("kind", "cosine"), kernel_doc.get("bandwidth"))
         dp = None
@@ -126,15 +140,15 @@ def parse_spec(document: dict) -> ExperimentSpec:
             count_floor=float(engine.get("count_floor", DEFAULT_COUNT_FLOOR)),
             dp=dp,
             budget=(None if engine.get("budget") is None else float(engine["budget"])),
-            data=document.get("data", {}),
-            index=document.get("index"),
+            data=data,
+            index=_section(document, "index"),
             baseline=(
-                NaiveKnnConfig(int(document["baseline"]["k"]), float(document["baseline"]["sigma"]))
-                if "baseline" in document
+                NaiveKnnConfig(int(baseline["k"]), float(baseline["sigma"]))
+                if baseline is not None
                 else None
             ),
             mutations=list(document.get("mutations", [])),
-            sweep=document.get("sweep"),
+            sweep=_section(document, "sweep"),
         )
         spec.engine_config()  # validate the engine settings eagerly
     except SpecError:

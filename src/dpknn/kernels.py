@@ -20,6 +20,14 @@ DEFAULT_RBF_BANDWIDTH = math.exp(1.5)
 
 KERNEL_KINDS = ("rbf", "cosine")
 
+NORMALIZE_CHUNK = 4096  # rows normalized at a time, so temporaries stay cache-sized
+
+# Absolute slack, in units of x . q, by which similarity_floor undercuts the
+# exact reach of the threshold.  It covers the float64 rounding of a kernel
+# weight (gamma_d * |x| |q| for d far below 1e9) and queries whose norm is
+# within the engine's 1e-6 tolerance of 1.
+FLOOR_SLACK = 1e-5
+
 
 class IngestionError(ValueError):
     """A feature vector or label failed validation on its way into a store."""
@@ -49,7 +57,11 @@ def normalize_rows(matrix) -> np.ndarray:
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise IngestionError(f"expected an (n, d) feature matrix, got shape {mat.shape}")
-    norms = np.linalg.norm(mat, axis=1)
+    # Row by row the norms are those of one whole-matrix pass, so the result
+    # is bitwise the same; chunks keep the squares out of main memory.
+    norms = np.empty(mat.shape[0])
+    for lo in range(0, mat.shape[0], NORMALIZE_CHUNK):
+        norms[lo:lo + NORMALIZE_CHUNK] = np.linalg.norm(mat[lo:lo + NORMALIZE_CHUNK], axis=1)
     bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
     if bad.size:
         raise IngestionError(f"zero-norm feature vector at row {int(bad[0])}")
@@ -72,3 +84,25 @@ def kernel_weights(spec: KernelSpec, features: np.ndarray, q: np.ndarray) -> np.
         sq = np.einsum("ij,ij->i", diff, diff)
         return np.exp(-sq / (spec.bandwidth * spec.bandwidth))
     return np.maximum(0.0, features @ q)
+
+
+def similarity_floor(spec: KernelSpec, threshold: float) -> float | None:
+    """A value of x . q below which no unit row x can reach ``threshold`` against unit q.
+
+    cosine:  the weight is max(0, x . q), so the floor is the threshold itself.
+    rbf:     ||x - q||^2 = 2 - 2 x . q on unit vectors, so the weight reaches
+             the threshold only when x . q >= 1 + bandwidth^2 ln(threshold) / 2.
+
+    Each floor is lowered by FLOOR_SLACK (times bandwidth^2 for rbf, where a
+    rounding error in the weight's exponent is bandwidth^2 / 2 times as large
+    in x . q), so that every weight :func:`kernel_weights` computes at or
+    above the threshold, for a query the engine accepts, belongs to a row
+    whose exact x . q is at or above the floor.  Returns None, meaning no row
+    can be ruled out, when the threshold is not positive.
+    """
+    if not threshold > 0.0:
+        return None
+    if spec.kind == "rbf":
+        bw2 = spec.bandwidth * spec.bandwidth
+        return 1.0 + 0.5 * bw2 * math.log(threshold) - FLOOR_SLACK * max(1.0, bw2)
+    return threshold - FLOOR_SLACK

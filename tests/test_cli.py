@@ -182,6 +182,27 @@ def test_add_with_features_but_no_label_is_a_spec_error(tmp_path, capsys):
     assert_spec_error(capsys, spec, "integer 'label'")
 
 
+def test_null_data_section_is_a_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, data=None)
+    assert_spec_error(capsys, spec, "section 'data' must be a JSON object")
+
+
+def test_kernel_given_as_a_string_is_a_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, engine={"kernel": "rbf", "weight_threshold": 0.5,
+                                        "sigma_vote": 0.3, "budget": 6.0})
+    assert_spec_error(capsys, spec, "engine section 'kernel' must be a JSON object")
+
+
+def test_index_command_on_a_non_object_index_is_a_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, index="x")
+    code, out, err = run_cli(capsys, "index", "--config", str(spec))
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "SpecError"
+    assert "section 'index' must be a JSON object" in payload["error"]["message"]
+
+
 def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

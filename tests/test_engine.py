@@ -26,6 +26,7 @@ from dpknn import (
     answer_stream,
     budget_for_dp,
     capped_votes,
+    kernel_weights,
     select_neighbors,
 )
 from dpknn.engine import _accumulate_votes
@@ -188,6 +189,49 @@ def test_select_respects_candidate_restriction():
     store, q = cluster_store([0.9, 0.8, 0.7], tau=0.3)
     idx, _ = select_neighbors(store, q, candidates=np.array([1]))
     assert idx.tolist() == [1]
+
+
+def full_mask_select(store, query, candidates):
+    """select_neighbors as it filtered before candidate-local filtering: two store-sized masks."""
+    cfg = store.config
+    mask = store.alive & store.ledger.active_mask(cfg.count_charge)
+    restricted = np.zeros_like(mask)
+    restricted[candidates] = True
+    active = np.flatnonzero(mask & restricted)
+    weights = kernel_weights(cfg.kernel, store.features[active], query)
+    keep = weights >= cfg.weight_threshold
+    return active[keep], weights[keep]
+
+
+def test_candidate_local_filter_matches_the_full_mask_filter():
+    gen = np.random.default_rng(8)
+    store = small_store(seed=8, n=400, d=6, tau=0.2, sigma_count=0.5, budget=20.0)
+    for i in gen.choice(400, size=40, replace=False):
+        store.remove_example(int(i))
+    retired = gen.choice(np.flatnonzero(store.alive), size=60, replace=False)
+    store.ledger.spend(retired, np.full(60, 19.5))  # below the count charge of 2
+    queries = unit_rows(gen, 6, 6)
+    publics = [store.add_example(q, 1, public=True) for q in queries[:3]]
+    assert store.public[publics].all()
+    n = store.features.shape[0]
+    for q in queries:
+        for size in (0, 1, 50, n):
+            picked = gen.choice(n, size=size, replace=False)
+            for candidates in (np.sort(picked), picked, np.concatenate([picked, picked[:5]])):
+                got_idx, got_w = select_neighbors(store, q, candidates=candidates)
+                want_idx, want_w = full_mask_select(store, q, candidates)
+                assert got_idx.dtype == np.int64
+                assert got_idx.tolist() == want_idx.tolist()
+                assert got_w.tobytes() == want_w.tobytes()
+
+
+def test_active_mask_on_indices_matches_the_full_mask():
+    store = small_store(n=50, sigma_count=0.5, budget=3.0)
+    store.ledger.spend(np.arange(0, 50, 3), np.full(17, 1.5))
+    store.add_example(np.eye(8)[0], 0, public=True)
+    full = store.ledger.active_mask(2.0)
+    for indices in (np.arange(51), np.array([50, 3, 4, 3]), np.empty(0, dtype=np.int64)):
+        assert store.ledger.active_mask(2.0, indices).tolist() == full[indices].tolist()
 
 
 # -- answer_query basics -----------------------------------------------------------

@@ -64,6 +64,9 @@ def test_parse_accepts_minimal_spec():
     (spec_doc(mutations=[{"op": "remove", "index": 0}]), "nonnegative 'at'"),
     (spec_doc(mutations=[{"op": "remove", "index": 0, "at": None}]), "nonnegative 'at'"),
     (spec_doc(mutations=["remove"]), "mutation op"),
+    (spec_doc(data={"synthetic": [3, 60]}), "data section 'synthetic' must be a JSON object"),
+    (spec_doc(mode="baseline", baseline=[5, 2.0]), "section 'baseline' must be a JSON object"),
+    (spec_doc(sweep="fine"), "section 'sweep' must be a JSON object"),
 ])
 def test_parse_rejects_malformed_specs(doc, match):
     with pytest.raises(SpecError, match=match):

@@ -11,6 +11,7 @@ from dpknn import (
     kernel_weights,
     normalize_rows,
 )
+from dpknn import kernels
 from reference import kernel_eval
 
 COSINE = KernelSpec("cosine")
@@ -44,6 +45,19 @@ def test_l2_normalize_zero_vector_rejected():
 def test_normalize_rows_names_offending_row():
     mat = [[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]
     with pytest.raises(IngestionError, match="row 1"):
+        normalize_rows(mat)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_chunked_normalize_equals_one_pass_bitwise(monkeypatch, chunk):
+    monkeypatch.setattr(kernels, "NORMALIZE_CHUNK", chunk)
+    gen = np.random.default_rng(chunk)
+    for d in (1, 3, 16, 64):
+        mat = gen.standard_normal((30, d)) * gen.uniform(1e-3, 1e3, size=(30, 1))
+        want = mat / np.linalg.norm(mat, axis=1)[:, None]
+        assert normalize_rows(mat).tobytes() == want.tobytes()
+    mat[23] = 0.0
+    with pytest.raises(IngestionError, match="row 23"):
         normalize_rows(mat)
 
 
